@@ -70,7 +70,7 @@ func BenchmarkMSHR(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		line := uint64(i) & 15
-		if !m.Allocate(line, uint64(i), false) {
+		if m.Add(line, uint64(i), false) != MSHRAllocated {
 			m.Complete(line)
 		}
 	}

@@ -1,5 +1,7 @@
 package dram
 
+import "fmt"
+
 // bankState tracks one DRAM bank's row buffer and availability.
 type bankState struct {
 	openRow   int64  // -1 = closed (precharged)
@@ -10,6 +12,16 @@ type bankState struct {
 	// conflicts now but targets the app's own previous row would have
 	// been a row hit had the app run alone (STFM-style accounting).
 	lastRow []int64
+}
+
+// readPair names one (bank, app) pair of a controller's read queue.
+type readPair struct{ bank, app int32 }
+
+// pairState is one (bank, app) pair's read accounting.
+type pairState struct {
+	reads int32  // queued reads
+	pos   int32  // index in activePairs while reads > 0
+	clock uint64 // cumulative interference charged to each queued read
 }
 
 // Controller is the memory controller for one channel: a 128-entry read
@@ -48,6 +60,20 @@ type Controller struct {
 	bankReads  []int32
 	bankWrites []int32
 
+	// pairs is the per-(bank, app) read accounting, indexed
+	// bank*numApps+app. All of a pair's queued reads see the same
+	// interference cause each tick (the cause depends only on the bank and
+	// the app), so account and SkipTicks advance one clock per pair
+	// instead of walking the up-to-128-entry read queue; a read adds its
+	// pair's clock advance since enqueue to InterfCycles when it leaves
+	// the queue (removeRead). activePairs lists, unordered, the pairs with
+	// queued reads: the only ones account and SkipTicks visit.
+	pairs       []pairState
+	activePairs []readPair
+	// tracedReads counts queued reads that carry a Causes vector: only
+	// they still need the per-request walk.
+	tracedReads int
+
 	inService []*Request
 	// minComplete is the earliest Complete cycle among inService requests
 	// (NoEventCycle when empty): completeFinished's early-out. Most ticks
@@ -61,7 +87,7 @@ type Controller struct {
 	lastCmdCycle uint64
 	anyIssued    bool
 
-	outstanding []int // queued+in-service reads per app
+	outstanding []int // queued reads per app (issue decrements)
 
 	// Per-app accounting (all in CPU cycles).
 	queueingCycles []uint64
@@ -100,6 +126,8 @@ func NewController(t Timing, g Geometry, channel, numApps int, policy Scheduler)
 		banks:          make([]bankState, g.BanksPerChan),
 		bankReads:      make([]int32, g.BanksPerChan),
 		bankWrites:     make([]int32, g.BanksPerChan),
+		pairs:          make([]pairState, g.BanksPerChan*numApps),
+		activePairs:    make([]readPair, 0, g.BanksPerChan*numApps),
 		readQCap:       128,
 		writeQCap:      64,
 		policy:         policy,
@@ -181,6 +209,16 @@ func (c *Controller) Enqueue(r *Request, now uint64) bool {
 	}
 	c.readQ = append(c.readQ, r)
 	c.bankReads[r.bank]++
+	ps := &c.pairs[r.bank*c.numApps+r.App]
+	if ps.reads == 0 {
+		ps.pos = int32(len(c.activePairs))
+		c.activePairs = append(c.activePairs, readPair{int32(r.bank), int32(r.App)})
+	}
+	ps.reads++
+	r.clockMark = ps.clock
+	if r.Causes != nil {
+		c.tracedReads++
+	}
 	c.outstanding[r.App]++
 	return true
 }
@@ -195,6 +233,14 @@ func (c *Controller) OutstandingReads(app int) int { return c.outstanding[app] }
 // Tick advances the controller by one DRAM cycle. now is the current CPU
 // cycle; the caller invokes Tick every Timing.CPUPerDRAM CPU cycles.
 func (c *Controller) Tick(now uint64) {
+	c.advance(now)
+	c.account(now)
+	c.schedule(now)
+}
+
+// advance runs a tick's clock phase: the tick and bus-busy counters,
+// periodic refresh, and completion of finished requests.
+func (c *Controller) advance(now uint64) {
 	c.totalTicks++
 	if c.busBusyUntil > now {
 		c.busyTicks++
@@ -219,7 +265,11 @@ func (c *Controller) Tick(now uint64) {
 		}
 	}
 	c.completeFinished(now)
-	c.account(now)
+}
+
+// schedule runs a tick's command phase: drain-mode hysteresis, then at
+// most one issued request.
+func (c *Controller) schedule(now uint64) {
 	c.updateDrainMode()
 
 	if c.draining {
@@ -321,10 +371,17 @@ func (c *Controller) NextEventCycle(nextTick uint64) uint64 {
 // tick counter, the bus-busy tally, and the refresh countdown apply in
 // closed form; with multiple apps and queued reads, the per-tick
 // interference accounting is replayed for the window: integer charges
-// (per-request interference, per-cause ledger, queueing cycles) multiply
-// out exactly, and each float accumulator receives the same n identical
-// adds it would see ticking through, preserving bit-equality.
+// (interference clocks, per-cause ledger, queueing cycles) multiply out
+// exactly, and each float accumulator receives the same n identical adds
+// it would see ticking through, preserving bit-equality.
 func (c *Controller) SkipTicks(nextTick uint64, n uint64) {
+	c.skipCounters(nextTick, n)
+	c.skipAccount(n)
+}
+
+// skipCounters applies SkipTicks' tick counter, bus-busy tally and
+// refresh countdown.
+func (c *Controller) skipCounters(nextTick uint64, n uint64) {
 	c.totalTicks += n
 	ratio := uint64(c.timing.CPUPerDRAM)
 	if c.busBusyUntil > nextTick {
@@ -339,46 +396,47 @@ func (c *Controller) SkipTicks(nextTick uint64, n uint64) {
 		// so the countdown can never fire (or wrap) inside the window.
 		c.refreshCountdown -= n
 	}
+}
+
+// skipAccount replays n frozen ticks of interference accounting. Every
+// queued read's bank is busy for the whole window (NextEventCycle ends it
+// where the first one frees), so a (bank, app) pair's reads are
+// interfered each tick iff the bank's occupant is another app (or -1, a
+// refresh window) — account's bank-busy branch with a constant cause; the
+// bus/command-slot branches are unreachable.
+func (c *Controller) skipAccount(n uint64) {
 	if c.numApps == 1 || len(c.readQ) == 0 {
 		return
 	}
-	// Frozen-window accounting: every queued read's bank is busy for the
-	// whole window (NextEventCycle ends it where the first one frees), so
-	// a read is interfered each tick iff its bank's occupant is another
-	// app (or -1, a refresh window) — account's bank-busy branch with a
-	// constant cause; the bus/command-slot branches are unreachable.
+	ratio := uint64(c.timing.CPUPerDRAM)
+	charge := ratio * n
 	blocked := c.blockedScratch
-	for i := range blocked {
-		blocked[i] = 0
-	}
-	for _, r := range c.readQ {
-		b := &c.banks[r.bank]
-		if b.occupant == r.App {
-			continue // held up by its own bank: not interference
+	clear(blocked)
+	na := c.numApps
+	for _, p := range c.activePairs {
+		occ := c.banks[p.bank].occupant
+		if occ == int(p.app) {
+			continue // held up by its own bank
 		}
-		cause := b.occupant
-		r.addInterference(ratio * n)
-		if r.App < len(blocked) {
-			blocked[r.App]++
-		}
+		ps := &c.pairs[int(p.bank)*na+int(p.app)]
+		ps.clock += charge
+		blocked[p.app] += int(ps.reads)
 		if c.attrib != nil {
-			c.attrib.add(r.App, cause, ratio*n)
-		}
-		if r.Causes != nil {
-			ci := cause
-			if ci < 0 || ci >= len(r.Causes)-1 {
-				ci = len(r.Causes) - 1
-			}
-			r.Causes[ci] += ratio * n
+			c.attrib.add(int(p.app), occ, charge*uint64(ps.reads))
 		}
 	}
-	for app := 0; app < c.numApps && app < len(blocked); app++ {
-		if bn := blocked[app]; bn > 0 {
-			par := c.outstanding[app]
-			if par < bn {
-				par = bn
+	if c.tracedReads > 0 {
+		for _, r := range c.readQ {
+			if r.Causes != nil {
+				if occ := c.banks[r.bank].occupant; occ != r.App {
+					r.addCause(occ, charge)
+				}
 			}
-			contrib := float64(ratio) * float64(bn) / float64(par)
+		}
+	}
+	for app, bn := range blocked {
+		if bn > 0 {
+			contrib := c.scaledContrib(app, bn)
 			// n repeated adds, not contrib*n: each accumulator must see
 			// the exact float operation sequence the ticked path applies.
 			for j := uint64(0); j < n; j++ {
@@ -391,9 +449,20 @@ func (c *Controller) SkipTicks(nextTick uint64, n uint64) {
 			}
 		}
 	}
-	if p := c.priorityApp; p >= 0 && p < len(blocked) && blocked[p] > 0 && c.lastCmdApp != p {
-		c.queueingCycles[p] += ratio * n
+	if p := c.priorityApp; p >= 0 && p < na && blocked[p] > 0 && c.lastCmdApp != p {
+		c.queueingCycles[p] += charge
 	}
+}
+
+// scaledContrib is one tick's STFM-style parallelism-scaled interference
+// for app when bn of its queued reads are interfered: the tick's cycles
+// times the interfered share of its outstanding reads.
+func (c *Controller) scaledContrib(app, bn int) float64 {
+	par := c.outstanding[app]
+	if par < bn {
+		par = bn
+	}
+	return float64(c.timing.CPUPerDRAM) * float64(bn) / float64(par)
 }
 
 // completeFinished fires Done callbacks for requests whose data has fully
@@ -507,9 +576,25 @@ func (c *Controller) pickRead(now uint64) *Request {
 }
 
 // removeRead deletes index i from the read queue, preserving order (age
-// order matters to every policy).
+// order matters to every policy), and settles the read's interference
+// charge for its time in the queue from its (bank, app) clock.
 func (c *Controller) removeRead(i int) {
-	c.bankReads[c.readQ[i].bank]--
+	r := c.readQ[i]
+	c.bankReads[r.bank]--
+	ps := &c.pairs[r.bank*c.numApps+r.App]
+	ps.reads--
+	if ps.reads == 0 {
+		// Swap-remove the pair from the active list.
+		last := len(c.activePairs) - 1
+		moved := c.activePairs[last]
+		c.activePairs[ps.pos] = moved
+		c.pairs[int(moved.bank)*c.numApps+int(moved.app)].pos = ps.pos
+		c.activePairs = c.activePairs[:last]
+	}
+	r.addInterference(ps.clock - r.clockMark)
+	if r.Causes != nil {
+		c.tracedReads--
+	}
 	c.readQ = append(c.readQ[:i], c.readQ[i+1:]...)
 }
 
@@ -576,11 +661,11 @@ func (c *Controller) issue(r *Request, now uint64) {
 			c.attrib.addScaled(r.App, contrib)
 		}
 		if r.Causes != nil {
-			ci := b.occupant
-			if ci < 0 || ci >= len(r.Causes)-1 || ci == r.App {
-				ci = len(r.Causes) - 1
+			cause := b.occupant
+			if cause == r.App {
+				cause = -1
 			}
-			r.Causes[ci] += penalty
+			r.addCause(cause, penalty)
 		}
 	}
 	b.lastRow[r.App] = int64(r.row)
@@ -616,6 +701,35 @@ func (c *Controller) issue(r *Request, now uint64) {
 	c.inService = append(c.inService, r)
 }
 
+// notInterfered is interferenceCause's "no charge this tick" result.
+const notInterfered = -2
+
+// interferenceCause returns who holds up a queued read of app in bank b
+// this tick, or notInterfered. A read is interfered when its bank is
+// occupied by another app's request, the data bus is transferring another
+// app's data, or the controller's last command slot (previous tick) went
+// to another app. Bus and command-slot contention only apply when the
+// read was otherwise schedulable (its bank free): a read stuck behind its
+// own bank's work is not being interfered with. Every interfered tick has
+// one deterministic cause, resolved in that fixed priority (bank
+// occupant, then bus owner, then command slot); -1 is the system
+// (refresh).
+func (c *Controller) interferenceCause(b *bankState, app int, now uint64, busBusyOther, cmdSlotTaken bool) int {
+	if b.busyUntil > now {
+		if b.occupant != app {
+			return b.occupant
+		}
+		return notInterfered
+	}
+	if busBusyOther && c.busApp != app {
+		return c.busApp
+	}
+	if cmdSlotTaken && c.lastCmdApp != app {
+		return c.lastCmdApp
+	}
+	return notInterfered
+}
+
 // account performs the per-tick bookkeeping the slowdown models consume.
 func (c *Controller) account(now uint64) {
 	// A single-app controller has no inter-application interference to
@@ -623,71 +737,53 @@ func (c *Controller) account(now uint64) {
 	// the one app. (Refresh windows set occupant to -1, but refresh
 	// stalls happen identically in an alone run, so they are not
 	// interference either.) Alone-run replicas take this path every
-	// DRAM tick, so skipping the queue walk is a real win there.
+	// DRAM tick.
 	if c.numApps == 1 {
 		return
 	}
 	// No queued reads: nothing can be blocked, every counter update below
-	// is a no-op. Skip the stack-array zeroing and loop setup.
+	// is a no-op.
 	if len(c.readQ) == 0 {
 		return
 	}
+	if debugChecks {
+		c.checkReadCounts()
+	}
 	ratio := uint64(c.timing.CPUPerDRAM)
 
-	// Per-request and per-app (parallelism-scaled, STFM-style)
-	// interference cycles for the queued reads. A queued read is
-	// interfered this tick when its bank is occupied by another app's
-	// request, the data bus is transferring another app's data, or the
-	// controller's last command slot (previous tick) went to another app.
+	// Per-request (via the (bank, app) clocks) and per-app
+	// (parallelism-scaled, STFM-style) interference cycles for the queued
+	// reads.
 	blocked := c.blockedScratch
-	for i := range blocked {
-		blocked[i] = 0
-	}
+	clear(blocked)
 	busBusyOther := c.busBusyUntil > now
 	cmdSlotTaken := c.anyIssued && now-c.lastCmdCycle <= ratio
-	for _, r := range c.readQ {
-		b := &c.banks[r.bank]
-		bankBusy := b.busyUntil > now
-		// Bus and command-slot contention only apply when the request was
-		// otherwise schedulable (its bank free); a request stuck behind
-		// its own bank's work is not being interfered with this tick.
-		// Every interfered tick has one deterministic cause, resolved in
-		// fixed priority (bank occupant, then bus owner, then command
-		// slot); -2 means not interfered, -1 the system (refresh).
-		cause := -2
-		if bankBusy {
-			if b.occupant != r.App {
-				cause = b.occupant
-			}
-		} else if busBusyOther && c.busApp != r.App {
-			cause = c.busApp
-		} else if cmdSlotTaken && c.lastCmdApp != r.App {
-			cause = c.lastCmdApp
+	na := c.numApps
+	for _, p := range c.activePairs {
+		cause := c.interferenceCause(&c.banks[p.bank], int(p.app), now, busBusyOther, cmdSlotTaken)
+		if cause == notInterfered {
+			continue
 		}
-		if cause != -2 {
-			r.addInterference(ratio)
-			if r.App < len(blocked) {
-				blocked[r.App]++
+		ps := &c.pairs[int(p.bank)*na+int(p.app)]
+		ps.clock += ratio
+		blocked[p.app] += int(ps.reads)
+		if c.attrib != nil {
+			c.attrib.add(int(p.app), cause, ratio*uint64(ps.reads))
+		}
+	}
+	if c.tracedReads > 0 {
+		for _, r := range c.readQ {
+			if r.Causes == nil {
+				continue
 			}
-			if c.attrib != nil {
-				c.attrib.add(r.App, cause, ratio)
-			}
-			if r.Causes != nil {
-				ci := cause
-				if ci < 0 || ci >= len(r.Causes)-1 {
-					ci = len(r.Causes) - 1
-				}
-				r.Causes[ci] += ratio
+			if cause := c.interferenceCause(&c.banks[r.bank], r.App, now, busBusyOther, cmdSlotTaken); cause != notInterfered {
+				r.addCause(cause, ratio)
 			}
 		}
 	}
-	for app := 0; app < c.numApps && app < len(blocked); app++ {
-		if n := blocked[app]; n > 0 {
-			par := c.outstanding[app]
-			if par < n {
-				par = n
-			}
-			contrib := float64(ratio) * float64(n) / float64(par)
+	for app, n := range blocked {
+		if n > 0 {
+			contrib := c.scaledContrib(app, n)
 			c.interfCycles[app] += contrib
 			if c.attrib != nil {
 				c.attrib.addScaled(app, contrib)
@@ -702,8 +798,58 @@ func (c *Controller) account(now uint64) {
 	// bank alone is not removable queueing; counting it would over-
 	// correct CAR_alone, badly so at high core counts where the last
 	// command almost always belongs to someone else).
-	if p := c.priorityApp; p >= 0 && p < len(blocked) && blocked[p] > 0 && c.lastCmdApp != p {
+	if p := c.priorityApp; p >= 0 && p < na && blocked[p] > 0 && c.lastCmdApp != p {
 		c.queueingCycles[p] += ratio
+	}
+}
+
+// checkReadCounts panics unless the per-(bank, app) queued-read counts
+// sum to both the per-bank counts and the per-app outstanding reads, the
+// active-pair list holds exactly the pairs with queued reads, and the
+// traced-read counter matches the queue (-tags asmdebug only; called
+// once per accounted tick, allocation-free).
+func (c *Controller) checkReadCounts() {
+	na := c.numApps
+	for bank, want := range c.bankReads {
+		var sum int32
+		for _, ps := range c.pairs[bank*na : (bank+1)*na] {
+			sum += ps.reads
+		}
+		if sum != want {
+			panic(fmt.Sprintf("dram: bank %d holds %d queued reads by (bank, app) count, %d by bank count", bank, sum, want))
+		}
+	}
+	for app := 0; app < na; app++ {
+		sum := 0
+		for bank := range c.bankReads {
+			sum += int(c.pairs[bank*na+app].reads)
+		}
+		if sum != c.outstanding[app] {
+			panic(fmt.Sprintf("dram: app %d has %d queued reads by (bank, app) count, %d outstanding", app, sum, c.outstanding[app]))
+		}
+	}
+	pairs := 0
+	for _, ps := range c.pairs {
+		if ps.reads > 0 {
+			pairs++
+		}
+	}
+	if pairs != len(c.activePairs) {
+		panic(fmt.Sprintf("dram: %d (bank, app) pairs hold queued reads, %d listed active", pairs, len(c.activePairs)))
+	}
+	for i, p := range c.activePairs {
+		if ps := c.pairs[int(p.bank)*na+int(p.app)]; ps.reads == 0 || ps.pos != int32(i) {
+			panic(fmt.Sprintf("dram: active pair %d (bank %d, app %d) is stale", i, p.bank, p.app))
+		}
+	}
+	traced := 0
+	for _, r := range c.readQ {
+		if r.Causes != nil {
+			traced++
+		}
+	}
+	if traced != c.tracedReads {
+		panic(fmt.Sprintf("dram: %d traced reads queued, counter says %d", traced, c.tracedReads))
 	}
 }
 

@@ -30,13 +30,19 @@ type Request struct {
 	// the common path stays allocation-free.
 	Causes []uint64
 
-	// Done is invoked at completion with the request and the CPU cycle.
-	// It is nil for posted writes.
+	// Done, when non-nil, is invoked at completion with the request and
+	// the CPU cycle. The controller drops its reference to the request
+	// once Done returns, so the owner may recycle it from there.
 	Done func(*Request, uint64)
+	// Owner is an opaque handle for the issuer, which the controller
+	// never reads: it lets one shared Done callback find the issuer's
+	// state for the request without a closure per request.
+	Owner any
 
-	bank   int
-	row    uint64
-	marked bool // PARBS batch membership
+	bank      int
+	row       uint64
+	marked    bool   // PARBS batch membership
+	clockMark uint64 // its (bank, app) interference clock at enqueue
 }
 
 // Bank returns the bank index this request maps to within its channel.
@@ -48,6 +54,16 @@ func (r *Request) Row() uint64 { return r.row }
 // addInterference charges cycles of other-application occupancy to this
 // request.
 func (r *Request) addInterference(cycles uint64) { r.InterfCycles += cycles }
+
+// addCause charges cycles to the cause's slot of r.Causes (non-nil); a
+// cause outside the app range (refresh, -1) goes to the system slot.
+func (r *Request) addCause(cause int, cycles uint64) {
+	ci := cause
+	if ci < 0 || ci >= len(r.Causes)-1 {
+		ci = len(r.Causes) - 1
+	}
+	r.Causes[ci] += cycles
+}
 
 // QueueLatency returns the CPU cycles the request waited before service.
 // Start < Enqueue is an accounting bug, not a valid state: debug builds

@@ -10,6 +10,12 @@ import (
 // `to` (inclusive, on the tick grid), enqueuing enq[i] at the first grid
 // cycle >= its Enqueue stamp.
 func driveTicked(c *Controller, from, to uint64, enq []*Request) {
+	driveTickedWith(c, c.Tick, from, to, enq)
+}
+
+// driveTickedWith is driveTicked with the tick function supplied (the
+// accounting reference substitutes its own).
+func driveTickedWith(c *Controller, tick func(uint64), from, to uint64, enq []*Request) {
 	ratio := uint64(c.timing.CPUPerDRAM)
 	next := 0
 	for now := from; now <= to; now += ratio {
@@ -17,7 +23,7 @@ func driveTicked(c *Controller, from, to uint64, enq []*Request) {
 			c.Enqueue(enq[next], now)
 			next++
 		}
-		c.Tick(now)
+		tick(now)
 	}
 }
 
@@ -25,6 +31,12 @@ func driveTicked(c *Controller, from, to uint64, enq []*Request) {
 // NextEventCycle horizons and SkipTicks for every frozen stretch,
 // enqueuing at the same grid cycles as driveTicked.
 func driveSkipped(t *testing.T, c *Controller, from, to uint64, enq []*Request) (skipped uint64) {
+	return driveSkippedWith(t, c, c.Tick, c.SkipTicks, from, to, enq)
+}
+
+// driveSkippedWith is driveSkipped with the tick and skip functions
+// supplied.
+func driveSkippedWith(t *testing.T, c *Controller, tick func(uint64), skip func(uint64, uint64), from, to uint64, enq []*Request) (skipped uint64) {
 	t.Helper()
 	ratio := uint64(c.timing.CPUPerDRAM)
 	next := 0
@@ -39,7 +51,7 @@ func driveSkipped(t *testing.T, c *Controller, from, to uint64, enq []*Request) 
 			t.Fatalf("NextEventCycle(%d) = %d went backwards", now, h)
 		}
 		if h == now {
-			c.Tick(now)
+			tick(now)
 			now += ratio
 			continue
 		}
@@ -56,12 +68,12 @@ func driveSkipped(t *testing.T, c *Controller, from, to uint64, enq []*Request) 
 			end = to + ratio
 		}
 		if end <= now {
-			c.Tick(now)
+			tick(now)
 			now += ratio
 			continue
 		}
 		k := (end - now + ratio - 1) / ratio
-		c.SkipTicks(now, k)
+		skip(now, k)
 		skipped += k
 		now += k * ratio
 	}
@@ -92,15 +104,23 @@ func compareControllers(t *testing.T, trial int, a, b *Controller, numApps int) 
 		if x, y := a.OutstandingReads(app), b.OutstandingReads(app); x != y {
 			t.Errorf("trial %d app %d: outstanding %d vs %d", trial, app, x, y)
 		}
+		if (a.attrib == nil) != (b.attrib == nil) {
+			t.Fatalf("trial %d: one controller has an attribution ledger, the other not", trial)
+		}
+		if a.attrib == nil {
+			continue
+		}
 		if x, y := a.attrib.RowCycles(app), b.attrib.RowCycles(app); math.Float64bits(x) != math.Float64bits(y) {
 			t.Errorf("trial %d app %d: attrib scaled %v vs %v", trial, app, x, y)
 		}
 	}
-	rawA, rawB := a.attrib.Raw(), b.attrib.Raw()
-	for v := range rawA {
-		for c := range rawA[v] {
-			if rawA[v][c] != rawB[v][c] {
-				t.Errorf("trial %d: attrib[%d][%d] %d vs %d", trial, v, c, rawA[v][c], rawB[v][c])
+	if a.attrib != nil {
+		rawA, rawB := a.attrib.Raw(), b.attrib.Raw()
+		for v := range rawA {
+			for c := range rawA[v] {
+				if rawA[v][c] != rawB[v][c] {
+					t.Errorf("trial %d: attrib[%d][%d] %d vs %d", trial, v, c, rawA[v][c], rawB[v][c])
+				}
 			}
 		}
 	}

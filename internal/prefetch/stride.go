@@ -29,6 +29,7 @@ type Stride struct {
 	Distance int
 
 	table []streamEntry
+	out   []uint64 // Observe's result buffer, reused across calls
 }
 
 // New returns a stride prefetcher with the paper's parameters.
@@ -59,7 +60,7 @@ func (s *Stride) Observe(line uint64) []uint64 {
 	if e.confirmed < 2 {
 		return nil
 	}
-	out := make([]uint64, 0, s.Degree)
+	out := s.out[:0]
 	base := int64(line) + e.stride*int64(s.Distance)
 	for i := 0; i < s.Degree; i++ {
 		target := base + e.stride*int64(i)
@@ -75,6 +76,7 @@ func (s *Stride) Observe(line uint64) []uint64 {
 	if len(out) > 0 {
 		e.lastPref = out[len(out)-1]
 	}
+	s.out = out
 	return out
 }
 

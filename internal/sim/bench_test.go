@@ -21,6 +21,12 @@ func benchSystemCfg(b *testing.B, prefetch, disableSkip bool) *System {
 	cfg.Quantum = 100_000
 	cfg.Prefetch = prefetch
 	cfg.DisableSkipAhead = disableSkip
+	return benchSystemFrom(b, cfg)
+}
+
+// benchSystemFrom builds the 4-core contended mix under cfg.
+func benchSystemFrom(b testing.TB, cfg Config) *System {
+	b.Helper()
 	var specs []workload.Spec
 	for _, n := range []string{"mcf", "libquantum", "bzip2", "h264ref"} {
 		s, ok := workload.ByName(n)
@@ -83,6 +89,8 @@ func BenchmarkRunQuantaSkipOff(b *testing.B) {
 // BenchmarkRunQuantaTraceDisabled is the tracing disabled-path guard: a
 // system that never had SetTracer called must run the quantum loop with
 // zero tracing allocations (the nil checks are the entire cost).
+// TestRunInsideQuantumAllocationFree enforces zero allocations between
+// quantum boundaries; what remains here is the boundary itself.
 func BenchmarkRunQuantaTraceDisabled(b *testing.B) {
 	sys := benchSystem(b, false)
 	b.ReportAllocs()

@@ -19,7 +19,11 @@ import (
 // and merged writes).
 const noWaiter = ^uint64(0)
 
-// missTxn tracks one shared-cache miss from detection to fill.
+// missTxn tracks one shared-cache miss from detection to fill, or one
+// posted writeback (req.Write) from enqueue to completion. Transactions
+// come from the System's free list (newTxn) and return to it when their
+// request completes; the request's Owner handle points back at its
+// transaction, so every request shares one Done callback.
 type missTxn struct {
 	app      int
 	line     uint64
@@ -32,6 +36,10 @@ type missTxn struct {
 	traced   bool // the tracer sampled this miss's lifecycle span
 	req      dram.Request
 }
+
+// txnChunk is how many transactions newTxn allocates at once when the
+// free list runs dry.
+const txnChunk = 16
 
 // AppSource names one application and builds its instruction stream.
 // New must return a fresh source that replays the identical stream on
@@ -131,10 +139,12 @@ type System struct {
 	quantum      int
 
 	retryQ     []*missTxn
-	pendingWB  []uint64 // line addresses of writebacks awaiting queue space
+	freeTxns   []*missTxn                  // completed transactions, reused by newTxn
+	reqDone    func(*dram.Request, uint64) // requestDone, bound once
+	pendingWB  []uint64                    // line addresses of writebacks awaiting queue space
 	events     eventHeap
-	inFlightPf map[uint64]bool
-	pfLines    map[uint64]bool // prefetched, not yet referenced lines
+	inFlightPf lineSet // lines with a prefetch in flight
+	pfLines    lineSet // prefetched, not yet referenced lines
 
 	// Event-driven skip-ahead fast path (see skipAhead). skipOn caches
 	// !cfg.DisableSkipAhead; the counters tally taken windows and the
@@ -222,9 +232,8 @@ func NewWithSources(cfg Config, apps []AppSource) (*System, error) {
 		outMiss:      make([]int, n),
 		prevRetired:  make([]uint64, n),
 		prevMemStall: make([]uint64, n),
-		inFlightPf:   make(map[uint64]bool),
-		pfLines:      make(map[uint64]bool),
 	}
+	s.reqDone = s.requestDone
 	s.l2 = cache.New(cfg.L2Sets(), cfg.L2Ways, n)
 
 	sampled := cfg.ATSSampledSets
@@ -655,16 +664,12 @@ func (s *System) Read(app int, addr uint64, token uint64, now uint64) (bool, uin
 	if len(s.pendingWB) > s.wbLimit {
 		return false, 0, false // backpressure: memory system saturated
 	}
-	m := s.l1mshr[app]
-	if m.Lookup(line) != nil {
-		m.Merge(line, token, false)
-		return false, 0, true
-	}
-	if m.Full() {
+	switch s.l1mshr[app].Add(line, token, false) {
+	case cache.MSHRFull:
 		return false, 0, false
+	case cache.MSHRAllocated:
+		s.accessL2(app, line, false, now)
 	}
-	m.Allocate(line, token, false)
-	s.accessL2(app, line, false, now)
 	return false, 0, true
 }
 
@@ -677,15 +682,12 @@ func (s *System) Write(app int, addr uint64, now uint64) bool {
 	if len(s.pendingWB) > s.wbLimit {
 		return false
 	}
-	m := s.l1mshr[app]
-	if m.Lookup(line) != nil {
-		return m.Merge(line, noWaiter, true)
-	}
-	if m.Full() {
+	switch s.l1mshr[app].Add(line, noWaiter, true) {
+	case cache.MSHRFull:
 		return false
+	case cache.MSHRAllocated:
+		s.accessL2(app, line, true, now)
 	}
-	m.Allocate(line, noWaiter, true)
-	s.accessL2(app, line, true, now)
 	return true
 }
 
@@ -725,8 +727,7 @@ func (s *System) accessL2(app int, line uint64, storeMiss bool, now uint64) {
 		if inEpoch {
 			aq.EpochHits++
 		}
-		if s.pfLines[line] {
-			delete(s.pfLines, line)
+		if s.pfLines.remove(line) {
 			aq.PrefetchUseful++
 		}
 		s.outHits[app]++
@@ -742,15 +743,9 @@ func (s *System) accessL2(app int, line uint64, storeMiss bool, now uint64) {
 	if pfCont {
 		s.pf[app].Remove(line) // the line is being refetched
 	}
-	txn := &missTxn{
-		app:     app,
-		line:    line,
-		start:   now,
-		dirty:   storeMiss,
-		pfCont:  pfCont,
-		atsCont: sampled && atsHit,
-		sampled: sampled,
-	}
+	txn := s.newTxn()
+	txn.app, txn.line, txn.start, txn.dirty = app, line, now, storeMiss
+	txn.pfCont, txn.atsCont, txn.sampled = pfCont, sampled && atsHit, sampled
 	if sampled {
 		aq.SampledDemandMisses++
 	}
@@ -761,6 +756,34 @@ func (s *System) accessL2(app int, line uint64, storeMiss bool, now uint64) {
 	s.sendMiss(txn, now)
 }
 
+// newTxn takes a zeroed transaction from the free list, refilling the
+// list a chunk at a time when it is empty: the pool grows lazily to the
+// peak number of requests in flight.
+func (s *System) newTxn() *missTxn {
+	if len(s.freeTxns) == 0 {
+		chunk := make([]missTxn, txnChunk)
+		for i := range chunk {
+			s.freeTxns = append(s.freeTxns, &chunk[i])
+		}
+	}
+	n := len(s.freeTxns) - 1
+	txn := s.freeTxns[n]
+	s.freeTxns = s.freeTxns[:n]
+	return txn
+}
+
+// requestDone is the Done callback of every transaction's request — a
+// miss fill or a posted writeback. It returns the transaction to the free
+// list.
+func (s *System) requestDone(r *dram.Request, now uint64) {
+	txn := r.Owner.(*missTxn)
+	if !r.Write {
+		s.missDone(txn, now)
+	}
+	*txn = missTxn{}
+	s.freeTxns = append(s.freeTxns, txn)
+}
+
 // sendMiss enqueues the miss at the memory controller, or parks it for
 // retry when the read queue is full.
 func (s *System) sendMiss(txn *missTxn, now uint64) {
@@ -768,9 +791,8 @@ func (s *System) sendMiss(txn *missTxn, now uint64) {
 		App:      txn.app,
 		LineAddr: txn.line,
 		Prefetch: txn.prefetch,
-		Done: func(r *dram.Request, done uint64) {
-			s.missDone(txn, done)
-		},
+		Done:     s.reqDone,
+		Owner:    txn,
 	}
 	if txn.traced {
 		// Per-cause interference breakdown, only for sampled spans so the
@@ -803,13 +825,13 @@ func (s *System) missDone(txn *missTxn, now uint64) {
 	aq := &s.qs.Apps[app]
 
 	if txn.prefetch {
-		delete(s.inFlightPf, txn.line)
+		s.inFlightPf.remove(txn.line)
 		s.insertL2(app, txn.line, false, now)
 		// Mirror the fill into the alone-state directory: the prefetcher
 		// is trained on this app's own stream and would have issued the
 		// same prefetch in the alone run.
 		s.ats[app].Install(txn.line)
-		s.pfLines[txn.line] = true
+		s.pfLines.add(txn.line)
 		return
 	}
 
@@ -956,20 +978,16 @@ func (s *System) completeL2Hit(app int32, line uint64, now uint64) {
 // fillL1 installs the line in the requester's L1, handles the dirty
 // victim, and wakes all MSHR waiters.
 func (s *System) fillL1(app int, line uint64, now uint64) {
-	e := s.l1mshr[app].Complete(line)
-	dirty := false
-	if e != nil {
-		dirty = e.Dirty
-	}
+	// waiters aliases the freed MSHR slot; nothing below adds to app's
+	// MSHR file before the loop has read it.
+	waiters, dirty, _ := s.l1mshr[app].Complete(line)
 	v := s.l1[app].Insert(app, line, dirty)
 	if v.Valid && v.Dirty {
 		s.writebackToL2(app, v.LineAddr, now)
 	}
-	if e != nil {
-		for _, w := range e.Waiters {
-			if w != noWaiter {
-				s.cores[app].Complete(w, now)
-			}
+	for _, w := range waiters {
+		if w != noWaiter {
+			s.cores[app].Complete(w, now)
 		}
 	}
 	// Any fill frees an MSHR and may unblock dependent fetch.
@@ -996,7 +1014,7 @@ func (s *System) insertL2(app int, line uint64, dirty bool, now uint64) {
 			s.evictors[v.LineAddr] = app
 		}
 	}
-	delete(s.pfLines, v.LineAddr)
+	s.pfLines.remove(v.LineAddr)
 	if v.Dirty {
 		s.enqueueWriteback(int(v.App), v.LineAddr, now)
 	}
@@ -1015,10 +1033,20 @@ func (s *System) writebackToL2(app int, line uint64, now uint64) {
 // enqueueWriteback posts a write to memory, parking it when the write
 // queue is full.
 func (s *System) enqueueWriteback(app int, line uint64, now uint64) {
-	r := &dram.Request{App: app, LineAddr: line, Write: true}
-	if !s.mem.Enqueue(r, now) {
+	if !s.mem.CanEnqueue(line, true) {
 		s.pendingWB = append(s.pendingWB, line|uint64(app)<<56)
+		return
 	}
+	s.postWriteback(app, line, now)
+}
+
+// postWriteback enqueues a writeback whose write queue has room. Its
+// request comes from the transaction free list and returns there on
+// completion.
+func (s *System) postWriteback(app int, line uint64, now uint64) {
+	txn := s.newTxn()
+	txn.req = dram.Request{App: app, LineAddr: line, Write: true, Done: s.reqDone, Owner: txn}
+	s.mem.Enqueue(&txn.req, now)
 }
 
 // flushWritebacks retries parked writebacks. When the backlog drains below
@@ -1033,8 +1061,9 @@ func (s *System) flushWritebacks(now uint64) {
 	for _, packed := range s.pendingWB {
 		line := packed & ((1 << 56) - 1)
 		app := int(packed >> 56)
-		r := &dram.Request{App: app, LineAddr: line, Write: true}
-		if !s.mem.Enqueue(r, now) {
+		if s.mem.CanEnqueue(line, true) {
+			s.postWriteback(app, line, now)
+		} else {
 			kept = append(kept, packed)
 		}
 	}
@@ -1048,14 +1077,15 @@ func (s *System) flushWritebacks(now uint64) {
 
 // issuePrefetch sends a prefetch for a line into the shared cache.
 func (s *System) issuePrefetch(app int, line uint64, now uint64) {
-	if s.l2.Peek(line) || s.inFlightPf[line] {
+	if s.l2.Peek(line) || s.inFlightPf.has(line) {
 		return
 	}
 	if !s.mem.CanEnqueue(line, false) {
 		return // prefetches are droppable
 	}
-	txn := &missTxn{app: app, line: line, start: now, prefetch: true}
-	s.inFlightPf[line] = true
+	txn := s.newTxn()
+	txn.app, txn.line, txn.start, txn.prefetch = app, line, now, true
+	s.inFlightPf.add(line)
 	s.qs.Apps[app].PrefetchIssued++
 	s.sendMiss(txn, now)
 }
@@ -1104,7 +1134,7 @@ func (s *System) endQuantum(now uint64) {
 	s.telHeapDepth.Set(int64(s.events.len()))
 	s.telRetryDepth.Set(int64(len(s.retryQ)))
 	s.telPendingWB.Set(int64(len(s.pendingWB)))
-	s.telInFlightPf.Set(int64(len(s.inFlightPf)))
+	s.telInFlightPf.Set(int64(s.inFlightPf.len()))
 	if s.telQuantumHist != nil {
 		now := time.Now()
 		s.telQuantumHist.Observe(now.Sub(s.quantumStart))
@@ -1166,5 +1196,5 @@ func (s *System) resetQuantumStats() {
 		// under the sampled hardware budget (Figure 3).
 	}
 	s.mem.ResetQuantumStats()
-	clear(s.pfLines)
+	s.pfLines.clear()
 }
