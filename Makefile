@@ -28,7 +28,7 @@ bench:
 # measurement.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='SweepAccuracy|RunAccuracyAllocs' -benchtime=1x -count=1 ./internal/exp/
-	$(GO) test -run='^$$' -bench='RunQuanta|SystemTick$$|AloneProfile' -benchtime=1x -count=1 ./internal/sim/
+	$(GO) test -run='^$$' -bench='RunQuanta|SystemTick$$|AloneProfile|AloneCurve' -benchtime=1x -count=1 ./internal/sim/
 
 # bench-json records the perf-guard benchmarks as JSON artifacts for
 # cross-run comparison: BENCH_sweep.json holds the alone-cache speedup

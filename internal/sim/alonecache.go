@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"asmsim/internal/telemetry"
 )
@@ -19,9 +21,9 @@ import (
 // Instead of every SlowdownTracker ticking a private single-core replica
 // to each milestone — re-simulating the same benchmark once per workload
 // mix — the cache simulates each (config, stream) pair once, records one
-// point per retiring cycle into a compact sorted array while extending
+// point per retiring cycle into a delta-encoded stream while extending
 // lazily on demand under a per-entry lock, and answers every CyclesAt
-// query from any mix or worker by binary search.
+// query from any mix or worker from a checkpoint index.
 //
 // Sharing is sound because curve identity is exact: instruction streams
 // are pure functions of their AppSource.Key (for generator-backed
@@ -39,6 +41,7 @@ type AloneCurveCache struct {
 
 	saved  atomic.Uint64 // replica cycles avoided versus private replicas
 	points atomic.Int64  // total recorded curve points
+	bytes  atomic.Int64  // total encoded curve bytes (see Bytes)
 	tel    atomic.Pointer[aloneCacheTel]
 }
 
@@ -58,6 +61,7 @@ type aloneCacheTel struct {
 	savedCycles    *telemetry.Gauge
 	entries        *telemetry.Gauge
 	points         *telemetry.Gauge
+	bytes          *telemetry.Gauge
 }
 
 // NewAloneCurveCache returns an empty cache.
@@ -69,7 +73,7 @@ func NewAloneCurveCache() *AloneCurveCache {
 // scope of r: hits (queries answered without simulating), misses (curves
 // built), extensions (queries that had to advance a replica),
 // extended_cycles (replica cycles actually simulated), and the
-// saved_cycles / entries / points gauges. A nil registry disables
+// saved_cycles / entries / points / bytes gauges. A nil registry disables
 // telemetry. Safe to call concurrently with queries.
 func (c *AloneCurveCache) SetTelemetry(r *telemetry.Registry) {
 	if c == nil || r == nil {
@@ -84,11 +88,13 @@ func (c *AloneCurveCache) SetTelemetry(r *telemetry.Registry) {
 		savedCycles:    sc.Gauge("saved_cycles"),
 		entries:        sc.Gauge("entries"),
 		points:         sc.Gauge("points"),
+		bytes:          sc.Gauge("bytes"),
 	}
 	c.mu.Lock()
 	t.entries.Set(int64(len(c.entries)))
 	c.mu.Unlock()
 	t.points.Set(c.points.Load())
+	t.bytes.Set(c.bytes.Load())
 	t.savedCycles.Set(int64(c.saved.Load()))
 	c.tel.Store(t)
 }
@@ -130,8 +136,13 @@ func (c *AloneCurveCache) Len() int {
 }
 
 // Points returns the total number of recorded curve points across all
-// entries (each point costs 8–16 bytes).
+// entries (each costs about 1.2–1.5 bytes; see Bytes).
 func (c *AloneCurveCache) Points() int64 { return c.points.Load() }
+
+// Bytes returns the memory the recorded points take across all entries:
+// the encoded delta streams plus their checkpoint indexes, counted by
+// length (slice capacity slack is not included).
+func (c *AloneCurveCache) Bytes() int64 { return c.bytes.Load() }
 
 // SavedCycles returns the cumulative replica cycles that cache hits
 // avoided simulating compared to per-tracker private replicas.
@@ -144,9 +155,11 @@ func (c *AloneCurveCache) Reset() {
 	c.entries = map[aloneKey]*aloneCurve{}
 	c.mu.Unlock()
 	c.points.Store(0)
+	c.bytes.Store(0)
 	if t := c.tel.Load(); t != nil {
 		t.entries.Set(0)
 		t.points.Set(0)
+		t.bytes.Set(0)
 	}
 }
 
@@ -170,22 +183,45 @@ func (c *AloneCurveCache) observe(delta, ticked uint64) {
 	}
 	t.savedCycles.Set(int64(c.saved.Load()))
 	t.points.Set(c.points.Load())
+	t.bytes.Set(c.bytes.Load())
 }
 
 // aloneCurve is one cached (instructions -> cycles) step curve plus the
-// replica that extends it. Points are packed (instr<<32 | cycle) into a
-// single uint64 slice while both fit in 32 bits — both sequences are
-// monotone, so packed values sort by instruction count and one slice
-// halves the footprint; runs long enough to overflow spill into the wide
-// parallel-slice continuation.
+// replica that extends it. Points are stored as deltas from their
+// predecessor (the first from (0, 0)) in one byte stream: the common
+// point — 1–4 instructions retired 1–63 cycles after the previous one —
+// takes one byte, (Δinstr-1)<<6 | Δcycle; any other point takes the
+// escape byte (Δcycle bits zero) followed by Δinstr and Δcycle as
+// uvarints, so no width or gap needs a separate representation. Every
+// aloneStride-th point is also checkpointed with its absolute values, so
+// a lookup decodes at most aloneStride points.
 type aloneCurve struct {
 	cache *AloneCurveCache
 
-	mu     sync.RWMutex
-	sys    *System
-	packed []uint64
-	instrW []uint64
-	cycleW []uint64
+	mu    sync.RWMutex
+	sys   *System
+	enc   []byte
+	index []aloneCheckpoint
+	n     int    // points recorded
+	instr uint64 // last point's instruction count (0 when empty)
+	cycle uint64 // last point's cycle
+}
+
+// aloneCheckpoint is the absolute position of point i*aloneStride; off is
+// the offset in aloneCurve.enc just past that point's encoding.
+type aloneCheckpoint struct {
+	instr, cycle uint64
+	off          int
+}
+
+const (
+	aloneStride = 128
+	aloneEscape = 0
+)
+
+// bytes is the curve's encoded size: stream plus index, counted by len.
+func (c *aloneCurve) bytes() int64 {
+	return int64(len(c.enc)) + int64(len(c.index))*int64(unsafe.Sizeof(aloneCheckpoint{}))
 }
 
 // cyclesAt returns the first cycle with at least n instructions retired,
@@ -206,6 +242,7 @@ func (c *aloneCurve) cyclesAt(n uint64) (cyc, ticked uint64) {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	points, size := c.n, c.bytes()
 	for !c.covered(n) {
 		prev := c.sys.Retired(0)
 		before := c.sys.Cycle()
@@ -219,41 +256,58 @@ func (c *aloneCurve) cyclesAt(n uint64) (cyc, ticked uint64) {
 			c.append(r, c.sys.Cycle())
 		}
 	}
+	c.cache.points.Add(int64(c.n - points))
+	c.cache.bytes.Add(c.bytes() - size)
 	return c.lookup(n), ticked
 }
 
 // covered reports whether the recorded curve already reaches milestone n.
 // Callers hold c.mu (either mode).
-func (c *aloneCurve) covered(n uint64) bool {
-	if m := len(c.instrW); m > 0 {
-		return c.instrW[m-1] >= n
-	}
-	if m := len(c.packed); m > 0 {
-		return c.packed[m-1]>>32 >= n
-	}
-	return false
-}
+func (c *aloneCurve) covered(n uint64) bool { return c.instr >= n }
 
-// lookup binary-searches the first point with instr >= n and returns its
-// cycle. Callers hold c.mu and have checked covered(n).
+// lookup returns the cycle of the first point with instr >= n: a binary
+// search of the checkpoints, then a decode of at most aloneStride points.
+// Callers hold c.mu and have checked covered(n) for some n > 0.
 func (c *aloneCurve) lookup(n uint64) uint64 {
-	if m := len(c.packed); m > 0 && c.packed[m-1]>>32 >= n {
-		i := sort.Search(m, func(i int) bool { return c.packed[i]>>32 >= n })
-		return c.packed[i] & (1<<32 - 1)
+	i := sort.Search(len(c.index), func(i int) bool { return c.index[i].instr >= n })
+	if i == 0 {
+		return c.index[0].cycle
 	}
-	i := sort.Search(len(c.instrW), func(i int) bool { return c.instrW[i] >= n })
-	return c.cycleW[i]
+	cp := c.index[i-1]
+	instr, cycle, off := cp.instr, cp.cycle, cp.off
+	for instr < n {
+		b := c.enc[off]
+		off++
+		if b != aloneEscape {
+			instr += uint64(b>>6) + 1
+			cycle += uint64(b & 63)
+			continue
+		}
+		di, k := binary.Uvarint(c.enc[off:])
+		off += k
+		dc, k := binary.Uvarint(c.enc[off:])
+		off += k
+		instr += di
+		cycle += dc
+	}
+	return cycle
 }
 
 // append records the point (instr, cycle). Callers hold c.mu for writing.
 func (c *aloneCurve) append(instr, cycle uint64) {
-	if len(c.instrW) == 0 && instr < 1<<32 && cycle < 1<<32 {
-		c.packed = append(c.packed, instr<<32|cycle)
+	di, dc := instr-c.instr, cycle-c.cycle
+	if di-1 < 4 && dc-1 < 63 {
+		c.enc = append(c.enc, byte((di-1)<<6|dc))
 	} else {
-		c.instrW = append(c.instrW, instr)
-		c.cycleW = append(c.cycleW, cycle)
+		c.enc = append(c.enc, aloneEscape)
+		c.enc = binary.AppendUvarint(c.enc, di)
+		c.enc = binary.AppendUvarint(c.enc, dc)
 	}
-	c.cache.points.Add(1)
+	if c.n%aloneStride == 0 {
+		c.index = append(c.index, aloneCheckpoint{instr: instr, cycle: cycle, off: len(c.enc)})
+	}
+	c.n++
+	c.instr, c.cycle = instr, cycle
 }
 
 // AloneCursor is one tracker slot's handle on a shared alone curve. It

@@ -145,6 +145,28 @@ func BenchmarkAloneProfileSkipOff(b *testing.B) {
 	p.CyclesAt(uint64(b.N))
 }
 
+// BenchmarkAloneCurveCache measures extending one shared alone curve
+// through a cursor by b.N instructions: the replica's ticks plus the
+// per-point append, reported per recorded point along with the encoded
+// bytes each point takes.
+func BenchmarkAloneCurveCache(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Quantum = 100_000
+	spec, _ := workload.ByName("bzip2")
+	cache := NewAloneCurveCache()
+	cu, err := cache.Cursor(cfg, SourcesFromSpecs([]workload.Spec{spec}, cfg.streamSeed())[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	cu.CyclesAt(uint64(b.N))
+	b.StopTimer()
+	if p := float64(cache.Points()); p > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/p, "ns/point")
+		b.ReportMetric(float64(cache.Bytes())/p, "B/point")
+	}
+}
+
 // BenchmarkGeneratorNext measures instruction synthesis cost.
 func BenchmarkGeneratorNext(b *testing.B) {
 	spec, _ := workload.ByName("mcf")
