@@ -18,7 +18,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/sim/... ./internal/exp/... ./internal/dram/... ./internal/cluster/... ./internal/faults/... ./internal/telemetry/... ./internal/evtrace/... ./internal/dash/... ./internal/serve/...
+	$(GO) test -race ./internal/sim/... ./internal/exp/... ./internal/dram/... ./internal/cluster/... ./internal/faults/... ./internal/telemetry/... ./internal/evtrace/... ./internal/dash/... ./internal/serve/... ./internal/obs/...
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

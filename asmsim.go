@@ -41,6 +41,7 @@ import (
 	"asmsim/internal/faults"
 	"asmsim/internal/metrics"
 	"asmsim/internal/model"
+	"asmsim/internal/obs"
 	"asmsim/internal/partition"
 	"asmsim/internal/serve"
 	"asmsim/internal/sim"
@@ -84,15 +85,13 @@ type (
 	ClusterEvent = cluster.Event
 	// ClusterDrain records one job moved (or parked) off a failed machine.
 	ClusterDrain = cluster.Drain
-	// TelemetryOptions bundles the observability hooks (metrics registry,
-	// quantum recorder, progress reporter). The zero value disables all
-	// telemetry at zero cost.
-	TelemetryOptions = telemetry.Options
+	// TelemetryOptions bundles a run's observers (metrics registry,
+	// quantum recorder, progress reporter, event tracer, live dashboard,
+	// SLO engine). The zero value disables all of them at zero cost.
+	TelemetryOptions = obs.Sinks
 	// TelemetryRegistry is an allocation-free atomic counter/gauge/timer
 	// registry with named scopes; nil is a valid no-op registry.
 	TelemetryRegistry = telemetry.Registry
-	// TelemetryMetric is one snapshotted registry entry.
-	TelemetryMetric = telemetry.Metric
 	// QuantumRecord is one (app, quantum) time-series sample: raw counters
 	// plus every estimator's slowdown estimate and, when available, the
 	// actual slowdown.
@@ -110,12 +109,6 @@ type (
 	Tracer = evtrace.Tracer
 	// TracerConfig parameterizes a Tracer (span sampling period).
 	TracerConfig = evtrace.Config
-	// QuantumAttribution is one quantum's N×N interference attribution
-	// snapshot (cycles app i delayed app j, split cache vs memory).
-	QuantumAttribution = evtrace.QuantumAttribution
-	// TraceSummary aggregates a trace's attribution series into run-level
-	// matrices and CPI stacks.
-	TraceSummary = evtrace.Summary
 	// DashServer is the live observability dashboard: mounted on the
 	// profiler's HTTP mux, it streams metrics, per-quantum records and
 	// interference attribution while a run or sweep executes. A nil
@@ -230,12 +223,6 @@ func NewTelemetryRegistry() *TelemetryRegistry { return telemetry.NewRegistry() 
 // NewJSONLRecorder streams quantum records to w as JSON lines.
 func NewJSONLRecorder(w io.Writer) QuantumRecorder { return telemetry.NewJSONLRecorder(w) }
 
-// OpenJSONLRecorder creates path and streams quantum records to it as
-// JSON lines; Close flushes and reports the first write error.
-func OpenJSONLRecorder(path string) (QuantumRecorder, error) {
-	return telemetry.OpenJSONLRecorder(path)
-}
-
 // NewAloneCurveCache returns an empty alone-run ground-truth curve
 // cache, safe for concurrent use across Runs and experiment sweeps.
 func NewAloneCurveCache() *AloneCurveCache { return sim.NewAloneCurveCache() }
@@ -247,13 +234,9 @@ func NewTracer(w io.Writer, cfg TracerConfig) *Tracer { return evtrace.New(w, cf
 // the JSON document and reports the first write error.
 func OpenTracer(path string, cfg TracerConfig) (*Tracer, error) { return evtrace.Open(path, cfg) }
 
-// SummarizeTrace folds a per-quantum attribution series (Tracer.Quanta)
-// into one aggregate summary.
-func SummarizeTrace(quanta []QuantumAttribution) TraceSummary { return evtrace.Summarize(quanta) }
-
 // NewDashServer returns a live dashboard ready to Mount on the
-// profiler's mux (telemetry.StartProfiler) and wire into RunOptions.Dash
-// or ExperimentScale.Dash.
+// profiler's mux (telemetry.StartProfiler) and wire into
+// RunOptions.Telemetry.Dash or ExperimentScale.Telemetry.Dash.
 func NewDashServer() *DashServer { return dash.NewServer() }
 
 // NewFleetPoller returns a poller over the given node base URLs; call
@@ -266,9 +249,9 @@ func NewFleetPoller(opts FleetPollerOptions) *FleetPoller { return serve.NewFlee
 func LoadSLOSpec(path string) (SLOSpec, error) { return slo.Load(path) }
 
 // NewSLOEngine builds an alert engine for spec with the given sinks.
-// Wire it into RunOptions.SLO, ExperimentScale.SLO or the job service's
-// serve.Options.SLO; it observes quantum records without perturbing
-// them.
+// Wire it into RunOptions.Telemetry.SLO, ExperimentScale.Telemetry.SLO
+// or the job service's serve.Options.SLO; it observes quantum records
+// without perturbing them.
 func NewSLOEngine(spec SLOSpec, sinks SLOSinks) *SLOEngine { return slo.New(spec, sinks) }
 
 // QuickScale returns the minutes-scale experiment configuration.
@@ -292,9 +275,13 @@ type RunOptions struct {
 	// starts — use it to install partitioning or bandwidth policies.
 	Attach func(*System)
 	// Telemetry optionally observes the run: Metrics receives the
-	// simulator's counters/gauges/timers and Recorder receives one
-	// QuantumRecord per (app, quantum), warmup included. The zero value
-	// disables both.
+	// simulator's counters/gauges/timers, Recorder receives one
+	// QuantumRecord per (app, quantum), warmup included, Trace records
+	// request spans and attribution matrices (the caller owns and
+	// Closes it), Dash streams the run live and SLO evaluates
+	// declarative SLOs over its quantum records. Every observer is
+	// read-only: results are bit-identical with or without them. The
+	// zero value disables all of them.
 	Telemetry TelemetryOptions
 	// SharedAloneCache, when non-nil and GroundTruth is set, serves the
 	// alone-run ground truth from the shared curve cache instead of
@@ -303,28 +290,13 @@ type RunOptions struct {
 	// run once. Reported slowdowns are bit-identical either way. nil
 	// (the default) keeps the private-replica behavior.
 	SharedAloneCache *AloneCurveCache
-	// Trace, when non-nil, records sampled request-lifecycle spans and
-	// exact per-quantum interference attribution matrices for the shared
-	// run. The caller owns the tracer and must Close it.
-	Trace *Tracer
 	// AloneTrace, when non-nil alongside GroundTruth, additionally traces
 	// the alone-run replica replays into the given tracer (span export
 	// for ground truth): each replica is a single-app trace series,
 	// separable with evtrace.SplitByApp, whose measured memory-stall time
-	// feeds TraceSummary.CPIStacksMeasured. Ignored when the ground truth
+	// feeds evtrace.Summary.CPIStacksMeasured. Ignored when the ground truth
 	// is served from SharedAloneCache (cursor replays simulate nothing).
 	AloneTrace *Tracer
-	// Dash, when non-nil, streams this run live: quantum records fan out
-	// to connected SSE clients, attribution snapshots feed the dashboard
-	// even when Trace is nil, and Telemetry.Metrics (when set) becomes
-	// the dashboard's registry. nil disables the dashboard at zero cost.
-	Dash *DashServer
-	// SLO, when non-nil, evaluates declarative SLOs over this run's
-	// quantum records: QoS-bound compliance and estimator drift tick on
-	// the simulated clock at quantum boundaries. The engine is purely
-	// observational — results are bit-identical with or without it. nil
-	// disables SLO evaluation at zero cost.
-	SLO *SLOEngine
 }
 
 // RunResult reports per-app outcomes of a Run.
@@ -382,13 +354,8 @@ func RunContext(ctx context.Context, cfg Config, names []string, opt RunOptions)
 	if opt.Attach != nil {
 		opt.Attach(sys)
 	}
-	sys.SetTelemetry(opt.Telemetry.Metrics)
-	if opt.Telemetry.Metrics != nil {
-		opt.Dash.SetRegistry(opt.Telemetry.Metrics)
-	}
-	if tr := opt.Dash.AttachTracer(opt.Trace); tr != nil {
-		sys.SetTracer(tr)
-	}
+	emit := opt.Telemetry.Attach(sys, cfg.Quantum)
+	emit.Mix = mix.String()
 	var tracker *sim.SlowdownTracker
 	if opt.GroundTruth {
 		opt.SharedAloneCache.SetTelemetry(opt.Telemetry.Metrics.Scope("sim"))
@@ -410,11 +377,6 @@ func RunContext(ctx context.Context, cfg Config, names []string, opt RunOptions)
 	}
 	actualSum := make([]float64, n)
 	measured := 0
-	rec := opt.Dash.WrapRecorder(opt.Telemetry.Recorder)
-	if opt.SLO != nil {
-		opt.SLO.SetQuantumCycles(cfg.Quantum)
-		rec = telemetry.Fanout(rec, opt.SLO)
-	}
 	perEst := make(map[string][]float64, len(ests)) // reused across quanta
 	sys.AddQuantumListener(func(_ *sim.System, st *sim.QuantumStats) {
 		var actual []float64
@@ -424,27 +386,7 @@ func RunContext(ctx context.Context, cfg Config, names []string, opt RunOptions)
 		for _, e := range ests {
 			perEst[e.Name()] = e.Estimate(st)
 		}
-		if rec != nil {
-			for a := 0; a < n; a++ {
-				est := make(map[string]float64, len(perEst))
-				for name, v := range perEst {
-					est[name] = v[a]
-				}
-				qr := &QuantumRecord{
-					TraceID:   opt.Telemetry.TraceID,
-					Mix:       mix.String(),
-					App:       a,
-					Bench:     specs[a].Name,
-					Quantum:   st.Quantum,
-					Estimates: est,
-					Counters:  st.Apps[a].TelemetryCounters(),
-				}
-				if actual != nil {
-					qr.Actual = actual[a]
-				}
-				rec.Record(qr)
-			}
-		}
+		emit.Emit(st, actual, perEst)
 		if st.Quantum < opt.WarmupQuanta {
 			return
 		}

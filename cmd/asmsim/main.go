@@ -21,6 +21,7 @@ import (
 	"syscall"
 
 	"asmsim"
+	"asmsim/internal/obs"
 	"asmsim/internal/telemetry"
 )
 
@@ -58,26 +59,19 @@ func main() {
 	// The dashboard and pprof share one listener: -dash selects the
 	// address (and implies the HTTP server); plain -pprof keeps serving
 	// only the profiling routes.
-	var dashSrv *asmsim.DashServer
-	httpAddr := *pprofAddr
-	if *dashAddr != "" {
-		dashSrv = asmsim.NewDashServer()
-		httpAddr = *dashAddr
-	}
-	prof, err := telemetry.StartProfiler(*cpuprofile, *memprofile, httpAddr, dashSrv.Mount, dashSrv.MountMetrics)
+	cli, err := obs.StartCLI(obs.CLIFlags{
+		CPUProfile: *cpuprofile,
+		MemProfile: *memprofile,
+		Pprof:      *pprofAddr,
+		Dash:       *dashAddr,
+		Telemetry:  *telDir,
+		SLO:        *sloPath != "",
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	defer prof.Stop()
-	// LIFO: the broadcaster closes first so Stop can drain SSE handlers.
-	defer dashSrv.Close()
-	if prof.PprofAddr() != "" {
-		fmt.Fprintf(os.Stderr, "pprof server listening on http://%s/debug/pprof/\n", prof.PprofAddr())
-		if dashSrv != nil {
-			fmt.Fprintf(os.Stderr, "dashboard listening on http://%s/debug/asm/\n", prof.PprofAddr())
-		}
-	}
+	defer cli.Stop()
 
 	if *charact {
 		characterize(*quantum, *seed)
@@ -121,21 +115,15 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	var tel asmsim.TelemetryOptions
-	var telReg *asmsim.TelemetryRegistry
+	tel := asmsim.TelemetryOptions{Metrics: cli.Metrics, Dash: cli.Dash}
 	var recorder telemetry.Recorder
 	if *telDir != "" {
-		if err := os.MkdirAll(*telDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		var rec telemetry.Recorder
 		var err error
 		switch *telFormat {
 		case "jsonl":
-			rec, err = telemetry.OpenJSONLRecorder(filepath.Join(*telDir, "quanta.jsonl"))
+			recorder, err = telemetry.OpenJSONLRecorder(filepath.Join(*telDir, "quanta.jsonl"))
 		case "csv":
-			rec, err = telemetry.OpenCSVRecorder(filepath.Join(*telDir, "quanta.csv"),
+			recorder, err = telemetry.OpenCSVRecorder(filepath.Join(*telDir, "quanta.csv"),
 				[]string{"ASM", "FST", "PTCA", "MISE"})
 		default:
 			err = fmt.Errorf("unknown telemetry format %q (want jsonl or csv)", *telFormat)
@@ -144,20 +132,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		recorder = rec
-		telReg = asmsim.NewTelemetryRegistry()
-		tel = asmsim.TelemetryOptions{Metrics: telReg, Recorder: rec}
+		tel.Recorder = recorder
 	}
-	if dashSrv != nil && telReg == nil {
-		// The dashboard's /metrics endpoint wants live counters even when
-		// nothing is written to disk.
-		telReg = asmsim.NewTelemetryRegistry()
-		tel.Metrics = telReg
-	}
-	var tracer *asmsim.Tracer
 	if *tracePath != "" {
 		var err error
-		tracer, err = asmsim.OpenTracer(*tracePath, asmsim.TracerConfig{SampleEvery: *traceSample})
+		tel.Trace, err = asmsim.OpenTracer(*tracePath, asmsim.TracerConfig{SampleEvery: *traceSample})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -177,16 +156,11 @@ func main() {
 		}
 	}
 
-	var sloEng *asmsim.SLOEngine
 	if *sloPath != "" {
 		spec, err := asmsim.LoadSLOSpec(*sloPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
-		}
-		if telReg == nil {
-			telReg = asmsim.NewTelemetryRegistry()
-			tel.Metrics = telReg
 		}
 		// The flight recorder rides the quantum stream so a firing alert
 		// dumps the recent records that led up to it.
@@ -199,14 +173,14 @@ func main() {
 			dumpDir = "."
 		}
 		flight.SetDumpDir(dumpDir)
-		sloEng = asmsim.NewSLOEngine(spec, asmsim.SLOSinks{
-			Metrics:      telReg,
+		tel.SLO = asmsim.NewSLOEngine(spec, asmsim.SLOSinks{
+			Metrics:      cli.Metrics,
 			Log:          slog.New(slog.NewTextHandler(os.Stderr, nil)),
 			Flight:       flight,
-			Trace:        tracer,
-			OnTransition: dashSrv.PublishAlert,
+			Trace:        tel.Trace,
+			OnTransition: cli.Dash.PublishAlert,
 		})
-		dashSrv.SetAlertSource(sloEng)
+		cli.Dash.SetAlertSource(tel.SLO)
 		tel.Recorder = telemetry.Fanout(tel.Recorder, flight)
 	}
 
@@ -216,10 +190,7 @@ func main() {
 		GroundTruth:  *groundTruth,
 		Estimators:   []asmsim.Estimator{asmsim.NewASM(), asmsim.NewFST(), asmsim.NewPTCA(), asmsim.NewMISE()},
 		Telemetry:    tel,
-		Trace:        tracer,
 		AloneTrace:   aloneTracer,
-		Dash:         dashSrv,
-		SLO:          sloEng,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -228,27 +199,12 @@ func main() {
 	// Flush the observability outputs before reporting: a recorder or
 	// tracer that cannot write its data is a failed run (non-zero exit),
 	// not a footnote on stderr.
-	exitCode := 0
 	if recorder != nil {
-		if err := recorder.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "telemetry: %v\n", err)
-			exitCode = 1
-		}
+		cli.Flush("telemetry", recorder.Close())
 	}
-	if telReg != nil {
-		if err := writeMetricsSnapshot(filepath.Join(*telDir, "metrics.jsonl"), telReg); err != nil {
-			fmt.Fprintf(os.Stderr, "telemetry: %v\n", err)
-			exitCode = 1
-		}
-	}
-	if err := tracer.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-		exitCode = 1
-	}
-	if err := aloneTracer.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "trace-alone: %v\n", err)
-		exitCode = 1
-	}
+	cli.WriteMetrics()
+	cli.Flush("trace", tel.Trace.Close())
+	cli.Flush("trace-alone", aloneTracer.Close())
 
 	fmt.Printf("%-12s %8s %8s %8s %8s %8s", "app", "IPC", "ASM", "FST", "PTCA", "MISE")
 	if res.ActualSlowdown != nil {
@@ -265,29 +221,16 @@ func main() {
 		fmt.Println()
 	}
 	fmt.Printf("\nmax slowdown %.2f, harmonic speedup %.3f\n", res.MaxSlowdown, res.HarmonicSpeedup)
-	if sloEng != nil {
+	if tel.SLO != nil {
 		fmt.Println()
-		for _, a := range sloEng.Alerts() {
+		for _, a := range tel.SLO.Alerts() {
 			fmt.Printf("slo %-20s %-9s %-8s bad=%d/%d burn=%.2f budget=%.0f%%\n",
 				a.Name, a.Signal, a.State, a.Bad, a.Ticks, a.BurnRate, 100*a.BudgetRemaining)
 		}
 	}
-	if exitCode != 0 {
-		os.Exit(exitCode)
+	if cli.Failed() {
+		os.Exit(1)
 	}
-}
-
-// writeMetricsSnapshot dumps the registry's final state as JSONL.
-func writeMetricsSnapshot(path string, reg *telemetry.Registry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := reg.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // characterize runs every named benchmark alone on the default system and

@@ -34,9 +34,9 @@ import (
 	"syscall"
 	"time"
 
-	"asmsim/internal/dash"
 	"asmsim/internal/evtrace"
 	"asmsim/internal/exp"
+	"asmsim/internal/obs"
 	"asmsim/internal/slo"
 	"asmsim/internal/telemetry"
 )
@@ -80,25 +80,18 @@ func main() {
 
 	// The dashboard and pprof share one listener: -dash selects the
 	// address; plain -pprof serves only the profiling routes.
-	var dashSrv *dash.Server
-	httpAddr := *pprofAddr
-	if *dashAddr != "" {
-		dashSrv = dash.NewServer()
-		httpAddr = *dashAddr
-	}
-	prof, err := telemetry.StartProfiler(*cpuprofile, *memprofile, httpAddr, dashSrv.Mount, dashSrv.MountMetrics)
+	cli, err := obs.StartCLI(obs.CLIFlags{
+		CPUProfile: *cpuprofile,
+		MemProfile: *memprofile,
+		Pprof:      *pprofAddr,
+		Dash:       *dashAddr,
+		Telemetry:  *telDir,
+		SLO:        *sloPath != "",
+	})
 	if err != nil {
 		fatal(err)
 	}
-	defer prof.Stop()
-	// LIFO: the broadcaster closes first so Stop can drain SSE handlers.
-	defer dashSrv.Close()
-	if prof.PprofAddr() != "" {
-		fmt.Fprintf(os.Stderr, "pprof server listening on http://%s/debug/pprof/\n", prof.PprofAddr())
-		if dashSrv != nil {
-			fmt.Fprintf(os.Stderr, "dashboard listening on http://%s/debug/asm/\n", prof.PprofAddr())
-		}
-	}
+	defer cli.Stop()
 
 	sc := exp.Quick()
 	if *full {
@@ -139,21 +132,6 @@ func main() {
 		exps = []exp.Experiment{e}
 	}
 
-	var reg *telemetry.Registry
-	if *telDir != "" {
-		if err := os.MkdirAll(*telDir, 0o755); err != nil {
-			fatal(err)
-		}
-		reg = telemetry.NewRegistry()
-	}
-	if dashSrv != nil {
-		// The dashboard's /metrics endpoint wants live counters even when
-		// no telemetry directory is written.
-		if reg == nil {
-			reg = telemetry.NewRegistry()
-		}
-		dashSrv.SetRegistry(reg)
-	}
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
 			fatal(err)
@@ -165,22 +143,16 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if reg == nil {
-			reg = telemetry.NewRegistry()
-		}
 		sloEng = slo.New(spec, slo.Sinks{
-			Metrics:      reg,
+			Metrics:      cli.Metrics,
 			Log:          slog.New(slog.NewTextHandler(os.Stderr, nil)),
-			OnTransition: dashSrv.PublishAlert,
+			OnTransition: cli.Dash.PublishAlert,
 		})
-		dashSrv.SetAlertSource(sloEng)
+		cli.Dash.SetAlertSource(sloEng)
 	}
 
 	var tables []*exp.Table
 	partial := 0
-	// Observability sinks that fail to flush make the invocation fail:
-	// silently dropped telemetry or trace data must not exit zero.
-	obsFailed := false
 	for _, e := range exps {
 		scRun := sc
 		// Curves are shared within one experiment; dropping them between
@@ -188,6 +160,7 @@ func main() {
 		if scRun.AloneCache != nil {
 			scRun.AloneCache.Reset()
 		}
+		scRun.Telemetry = obs.Sinks{Metrics: cli.Metrics, Dash: cli.Dash, SLO: sloEng}
 		var rec telemetry.Recorder
 		if *telDir != "" {
 			rec, err = telemetry.OpenJSONLRecorder(filepath.Join(*telDir, e.ID+".quanta.jsonl"))
@@ -196,17 +169,12 @@ func main() {
 			}
 			scRun.Telemetry.Recorder = rec
 		}
-		scRun.Telemetry.Metrics = reg
-		scRun.Dash = dashSrv
-		scRun.SLO = sloEng
-		var tracer *evtrace.Tracer
 		if *traceDir != "" {
-			tracer, err = evtrace.Open(filepath.Join(*traceDir, e.ID+".trace.json"),
+			scRun.Telemetry.Trace, err = evtrace.Open(filepath.Join(*traceDir, e.ID+".trace.json"),
 				evtrace.Config{SampleEvery: *traceSample})
 			if err != nil {
 				fatal(err)
 			}
-			scRun.Trace = tracer
 		}
 		var prg *telemetry.Progress
 		if *progress {
@@ -215,20 +183,17 @@ func main() {
 		}
 		// Each experiment's progress replaces the previous one on the
 		// dashboard (the /progress endpoint tracks the live sweep).
-		dashSrv.SetProgress(prg)
+		cli.Dash.SetProgress(prg)
 		start := time.Now()
 		table, err := e.Run(ctx, scRun)
 		prg.Finish()
+		// Observability sinks that fail to flush make the invocation
+		// fail: silently dropped telemetry or trace data must not exit
+		// zero.
 		if rec != nil {
-			if cerr := rec.Close(); cerr != nil {
-				fmt.Fprintf(os.Stderr, "telemetry: %s: %v\n", e.ID, cerr)
-				obsFailed = true
-			}
+			cli.Flush("telemetry: "+e.ID, rec.Close())
 		}
-		if cerr := tracer.Close(); cerr != nil {
-			fmt.Fprintf(os.Stderr, "trace: %s: %v\n", e.ID, cerr)
-			obsFailed = true
-		}
+		cli.Flush("trace: "+e.ID, scRun.Telemetry.Trace.Close())
 		if err != nil {
 			// Emit what completed before dying so a long sweep's output
 			// is not lost to one broken experiment.
@@ -253,12 +218,7 @@ func main() {
 	if err := emit(os.Stdout, tables, *format); err != nil {
 		fatal(err)
 	}
-	if reg != nil {
-		if err := writeMetricsSnapshot(filepath.Join(*telDir, "metrics.jsonl"), reg); err != nil {
-			fmt.Fprintf(os.Stderr, "telemetry: %v\n", err)
-			obsFailed = true
-		}
-	}
+	cli.WriteMetrics()
 	sloFailed := false
 	if sloEng != nil {
 		for _, a := range sloEng.Alerts() {
@@ -273,7 +233,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "%d of %d experiment(s) completed only partially\n", partial, len(exps))
 		os.Exit(1)
 	}
-	if obsFailed || sloFailed {
+	if cli.Failed() || sloFailed {
 		os.Exit(1)
 	}
 }
@@ -344,19 +304,6 @@ func writeTable(dir string, t *exp.Table, format string) error {
 		return err
 	}
 	return os.WriteFile(filepath.Join(dir, t.ID+"."+ext), []byte(out+"\n"), 0o644)
-}
-
-// writeMetricsSnapshot dumps the registry's final state as JSONL.
-func writeMetricsSnapshot(path string, reg *telemetry.Registry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := reg.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fatal(err error) {

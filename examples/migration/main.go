@@ -13,7 +13,7 @@ import (
 	"log"
 
 	"asmsim"
-	"asmsim/internal/telemetry"
+	"asmsim/internal/obs"
 )
 
 func main() {
@@ -61,17 +61,12 @@ func main() {
 	// With -dash, the balancer's audit-log counters and health gauges
 	// stream live on /debug/asm/metrics while the rounds run.
 	if *dashAddr != "" {
-		dashSrv := asmsim.NewDashServer()
-		reg := asmsim.NewTelemetryRegistry()
-		cl.SetTelemetry(reg)
-		dashSrv.SetRegistry(reg)
-		prof, err := telemetry.StartProfiler("", "", *dashAddr, dashSrv.Mount, dashSrv.MountMetrics)
+		cli, err := obs.StartCLI(obs.CLIFlags{Dash: *dashAddr})
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer prof.Stop()
-		defer dashSrv.Close()
-		fmt.Printf("dashboard listening on http://%s/debug/asm/\n", prof.PprofAddr())
+		defer cli.Stop()
+		cl.SetTelemetry(cli.Metrics)
 	}
 
 	show := func(tag string) {

@@ -178,9 +178,6 @@ func (c *Controller) Attribution() *Attribution { return c.attrib }
 // none). While set, that app's requests are serviced before all others.
 func (c *Controller) SetPriorityApp(app int) { c.priorityApp = app }
 
-// PriorityApp returns the current highest-priority app, or -1.
-func (c *Controller) PriorityApp() int { return c.priorityApp }
-
 // CanEnqueue reports whether a request of the given kind would be accepted
 // this cycle.
 func (c *Controller) CanEnqueue(write bool) bool {

@@ -160,7 +160,7 @@ func runAblCARn(ctx context.Context, sc Scale) (*Table, error) {
 			preds[n] = core.CARAtWays(st, 0, n)
 		}
 	})
-	if err := runQuanta(ctx, sys, sc.TotalQuanta()); err != nil {
+	if err := sys.RunQuantaCtx(ctx, sc.TotalQuanta()); err != nil {
 		return nil, fmt.Errorf("exp: abl-carn pass 1: %w", err)
 	}
 
@@ -184,7 +184,7 @@ func runAblCARn(ctx context.Context, sc Scale) (*Table, error) {
 			}
 			accesses += st.Apps[0].L2Accesses
 		})
-		if err := runQuanta(ctx, sys2, sc.TotalQuanta()); err != nil {
+		if err := sys2.RunQuantaCtx(ctx, sc.TotalQuanta()); err != nil {
 			return nil, fmt.Errorf("exp: abl-carn pass 2 (%d ways): %w", n, err)
 		}
 		measured := float64(accesses) / float64(uint64(sc.MeasuredQuanta)*cfg.Quantum)

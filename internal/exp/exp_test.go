@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"asmsim/internal/telemetry"
+	"asmsim/internal/obs"
 	"asmsim/internal/workload"
 )
 
@@ -151,7 +151,7 @@ func TestMeanErrorAndGrouping(t *testing.T) {
 
 func TestForEachCollectsErrors(t *testing.T) {
 	count := 0
-	fails, cancelled := forEach(context.Background(), 5, nil, telemetry.Options{}, func(i int) error {
+	fails, cancelled := forEach(context.Background(), 5, nil, obs.Sinks{}, func(i int) error {
 		count++
 		return nil
 	})

@@ -79,7 +79,7 @@ func measureCARPerf(ctx context.Context, sc Scale, specs []workload.Spec, warm, 
 		accesses += st.Apps[0].L2Accesses
 		retired += st.Apps[0].Retired
 	})
-	if err := runQuanta(ctx, sys, warm+measure); err != nil {
+	if err := sys.RunQuantaCtx(ctx, warm+measure); err != nil {
 		return 0, 0, err
 	}
 	cycles := float64(uint64(measure) * cfg.Quantum)

@@ -101,7 +101,7 @@ func collectAloneLatencies(ctx context.Context, sc Scale, spec workload.Spec, h 
 		}
 		h.Add(float64(ev.Latency))
 	})
-	return runQuanta(ctx, sys, sc.TotalQuanta())
+	return sys.RunQuantaCtx(ctx, sc.TotalQuanta())
 }
 
 // collectEstimates runs a shared mix and records each model's estimated
@@ -147,7 +147,7 @@ func collectEstimates(ctx context.Context, sc Scale, cfg sim.Config, mix workloa
 			asm.Add(float64(ev.Latency))
 		}
 	})
-	if err := runQuanta(ctx, sys, sc.TotalQuanta()); err != nil {
+	if err := sys.RunQuantaCtx(ctx, sc.TotalQuanta()); err != nil {
 		return err
 	}
 	if fst.N() == 0 {

@@ -9,7 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"asmsim/internal/telemetry"
+	"asmsim/internal/obs"
 	"asmsim/internal/workload"
 )
 
@@ -144,7 +144,7 @@ func TestForEachConcurrentPanicCancelStorm(t *testing.T) {
 	var started atomic.Int64
 	fails, cancelled := forEach(ctx, 64,
 		func(i int) string { return fmt.Sprintf("item-%d", i) },
-		telemetry.Options{},
+		obs.Sinks{},
 		func(i int) error {
 			if started.Add(1) == 20 {
 				cancel() // cancellation races in-flight panics and failures

@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"asmsim/internal/faults"
-	"asmsim/internal/telemetry"
+	"asmsim/internal/obs"
 	"asmsim/internal/workload"
 )
 
@@ -170,7 +170,7 @@ func TestAccuracySweepCancelledMidway(t *testing.T) {
 func TestForEachConvertsPanicsAndKeepsOrder(t *testing.T) {
 	fails, cancelled := forEach(context.Background(), 6,
 		func(i int) string { return fmt.Sprintf("item-%d", i) },
-		telemetry.Options{},
+		obs.Sinks{},
 		func(i int) error {
 			switch i {
 			case 1:

@@ -12,8 +12,8 @@ import (
 	"asmsim/internal/core"
 	"asmsim/internal/faults"
 	"asmsim/internal/metrics"
+	"asmsim/internal/obs"
 	"asmsim/internal/sim"
-	"asmsim/internal/telemetry"
 	"asmsim/internal/workload"
 )
 
@@ -45,14 +45,6 @@ func (s Sample) Error(estimator string) (float64, bool) {
 // EstimatorSet builds fresh estimator instances for one workload run
 // (estimators carry per-run state such as previous-quantum fallbacks).
 type EstimatorSet func() []core.Estimator
-
-// runQuanta advances sys under ctx. Cancellation propagates into the
-// simulator's cycle loop (sim.RunQuantaCtx), so a cancelled or expired
-// run stops within a few thousand cycles — mid-quantum — rather than
-// finishing its current quantum or its whole sweep item.
-func runQuanta(ctx context.Context, sys *sim.System, n int) error {
-	return sys.RunQuantaCtx(ctx, n)
-}
 
 // withRunTimeout applies the scale's per-run timeout, when set.
 func withRunTimeout(ctx context.Context, sc Scale) (context.Context, context.CancelFunc) {
@@ -91,17 +83,14 @@ func RunAccuracy(ctx context.Context, cfg sim.Config, mix workload.Mix, newEst E
 	if err != nil {
 		return nil, err
 	}
-	sys.SetTelemetry(sc.Telemetry.Metrics)
-	if tr := sc.Dash.AttachTracer(sc.Trace); tr != nil {
-		sys.SetTracer(tr)
-	}
+	emit := sc.Telemetry.Attach(sys, sc.Quantum)
+	emit.Mix = mix.String()
 	sc.AloneCache.SetTelemetry(sc.Telemetry.Metrics.Scope("sim"))
 	tracker, err := sim.NewSlowdownTrackerShared(cfg, specs, sc.AloneCache)
 	if err != nil {
 		return nil, err
 	}
 	ests := newEst()
-	rec := sc.wrapSLO(sc.Dash.WrapRecorder(sc.Telemetry.Recorder))
 	// The estimates map and samples slice are reused/pre-sized across
 	// quanta: only the small per-sample Est maps are allocated per
 	// quantum (they escape into the returned samples).
@@ -118,26 +107,9 @@ func RunAccuracy(ctx context.Context, cfg sim.Config, mix workload.Mix, newEst E
 		for _, e := range ests {
 			estimates[e.Name()] = e.Estimate(stEst)
 		}
-		if rec != nil {
-			// The recorder sees every quantum, warmup included: the
-			// per-quantum trajectory is exactly what it exists to expose.
-			for a := range specs {
-				est := make(map[string]float64, len(ests))
-				for name, v := range estimates {
-					est[name] = v[a]
-				}
-				rec.Record(&telemetry.QuantumRecord{
-					TraceID:   sc.Telemetry.TraceID,
-					Mix:       mix.String(),
-					App:       a,
-					Bench:     specs[a].Name,
-					Quantum:   st.Quantum,
-					Actual:    actual[a],
-					Estimates: est,
-					Counters:  st.Apps[a].TelemetryCounters(),
-				})
-			}
-		}
+		// The recorder sees every quantum, warmup included: the
+		// per-quantum trajectory is exactly what it exists to expose.
+		emit.Emit(st, actual, estimates)
 		if st.Quantum < sc.WarmupQuanta {
 			return
 		}
@@ -155,7 +127,7 @@ func RunAccuracy(ctx context.Context, cfg sim.Config, mix workload.Mix, newEst E
 			samples = append(samples, s)
 		}
 	})
-	if err := runQuanta(ctx, sys, sc.TotalQuanta()); err != nil {
+	if err := sys.RunQuantaCtx(ctx, sc.TotalQuanta()); err != nil {
 		return samples, fmt.Errorf("exp: run %s: %w", mix, err)
 	}
 	return samples, nil
@@ -243,13 +215,11 @@ func RunPolicy(ctx context.Context, cfg sim.Config, mix workload.Mix, scheme Sch
 	if err != nil {
 		return PolicyOutcome{}, err
 	}
-	sys.SetTelemetry(sc.Telemetry.Metrics)
-	if tr := sc.Dash.AttachTracer(sc.Trace); tr != nil {
-		sys.SetTracer(tr)
-	}
 	if scheme.Attach != nil {
 		scheme.Attach(sys)
 	}
+	emit := sc.Telemetry.Attach(sys, sc.Quantum)
+	emit.Mix, emit.Scheme = mix.String(), scheme.Name
 	defer sc.Telemetry.Metrics.Scope("exp").Scope("scheme").Timer(scheme.Name).Start()()
 	// Ground truth always uses the unmanaged baseline system: the alone
 	// run has the full cache and all bandwidth regardless of policy.
@@ -265,23 +235,9 @@ func RunPolicy(ctx context.Context, cfg sim.Config, mix workload.Mix, scheme Sch
 	n := len(specs)
 	invSum := make([]float64, n) // sum of 1/slowdown per quantum
 	count := 0
-	rec := sc.wrapSLO(sc.Dash.WrapRecorder(sc.Telemetry.Recorder))
 	sys.AddQuantumListener(func(_ *sim.System, st *sim.QuantumStats) {
 		actual := tracker.ActualSlowdowns(st)
-		if rec != nil {
-			for a := range specs {
-				rec.Record(&telemetry.QuantumRecord{
-					TraceID:  sc.Telemetry.TraceID,
-					Mix:      mix.String(),
-					Scheme:   scheme.Name,
-					App:      a,
-					Bench:    specs[a].Name,
-					Quantum:  st.Quantum,
-					Actual:   actual[a],
-					Counters: st.Apps[a].TelemetryCounters(),
-				})
-			}
-		}
+		emit.Emit(st, actual, nil)
 		if st.Quantum < sc.WarmupQuanta {
 			return
 		}
@@ -290,7 +246,7 @@ func RunPolicy(ctx context.Context, cfg sim.Config, mix workload.Mix, scheme Sch
 			invSum[a] += 1 / sd
 		}
 	})
-	if err := runQuanta(ctx, sys, sc.TotalQuanta()); err != nil {
+	if err := sys.RunQuantaCtx(ctx, sc.TotalQuanta()); err != nil {
 		return PolicyOutcome{}, fmt.Errorf("exp: run %s (%s): %w", mix, scheme.Name, err)
 	}
 	if count == 0 {
@@ -334,11 +290,11 @@ func harmonicSpeedup(slowdowns []float64) float64 {
 // (in-flight items finish). Failures come back sorted by index; cancelled
 // reports whether the sweep stopped early.
 //
-// obs optionally observes the sweep: Progress receives item start/finish
+// tel optionally observes the sweep: Progress receives item start/finish
 // updates, Metrics receives per-item wall-time timers (aggregate
 // "exp.item" plus one per item label) and worker-utilization gauges.
-// The zero Options observes nothing.
-func forEach(ctx context.Context, n int, label func(int) string, obs telemetry.Options, fn func(int) error) (failures []ItemError, cancelled bool) {
+// The zero Sinks observes nothing.
+func forEach(ctx context.Context, n int, label func(int) string, tel obs.Sinks, fn func(int) error) (failures []ItemError, cancelled bool) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -351,7 +307,7 @@ func forEach(ctx context.Context, n int, label func(int) string, obs telemetry.O
 	var busyNs atomic.Int64
 	call := func(i int) (err error) {
 		item := name(i)
-		obs.Progress.StartItem(item)
+		tel.Progress.StartItem(item)
 		begin := time.Now()
 		defer func() {
 			if r := recover(); r != nil {
@@ -359,7 +315,7 @@ func forEach(ctx context.Context, n int, label func(int) string, obs telemetry.O
 			}
 			d := time.Since(begin)
 			busyNs.Add(int64(d))
-			if m := obs.Metrics.Scope("exp"); m != nil {
+			if m := tel.Metrics.Scope("exp"); m != nil {
 				m.Timer("item").Observe(d)
 				if item != "" {
 					m.Scope("item").Timer(item).Observe(d)
@@ -370,7 +326,7 @@ func forEach(ctx context.Context, n int, label func(int) string, obs telemetry.O
 					m.Counter("items_done").Inc()
 				}
 			}
-			obs.Progress.DoneItem(item, err)
+			tel.Progress.DoneItem(item, err)
 		}()
 		return fn(i)
 	}
@@ -381,13 +337,13 @@ func forEach(ctx context.Context, n int, label func(int) string, obs telemetry.O
 	if workers > n {
 		workers = n
 	}
-	obs.Progress.Add(n)
+	tel.Progress.Add(n)
 	start := time.Now()
 	defer func() {
 		// Worker utilization: busy time over the sweep's worker capacity.
 		// Counters accumulate across sweeps so the cumulative utilization
 		// of a whole invocation can be derived from one snapshot.
-		m := obs.Metrics.Scope("exp")
+		m := tel.Metrics.Scope("exp")
 		if m == nil || workers == 0 {
 			return
 		}

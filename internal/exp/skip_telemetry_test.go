@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"asmsim/internal/obs"
 	"asmsim/internal/sim"
 	"asmsim/internal/telemetry"
 	"asmsim/internal/workload"
@@ -24,7 +25,7 @@ func TestAccuracyRunSkipTelemetry(t *testing.T) {
 		Epoch:          10_000,
 		Seed:           7,
 		AloneCache:     sim.NewAloneCurveCache(),
-		Telemetry:      telemetry.Options{Metrics: reg},
+		Telemetry:      obs.Sinks{Metrics: reg},
 	}
 	cfg := sc.BaseConfig()
 	cfg.ATSSampledSets = 64

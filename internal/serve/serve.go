@@ -775,8 +775,8 @@ func (s *Server) attempt(ctx context.Context, j *job, attempt int) (t *exp.Table
 		sc.Telemetry.Metrics = s.opts.Metrics
 		sc.Telemetry.Recorder = telemetry.Fanout(s.bc, s.flight)
 		sc.Telemetry.TraceID = tid
-		sc.Dash = s.opts.Dash
-		sc.SLO = s.opts.SLO
+		sc.Telemetry.Dash = s.opts.Dash
+		sc.Telemetry.SLO = s.opts.SLO
 	})
 }
 

@@ -292,9 +292,6 @@ func (s *System) Names() []string {
 // Cycle returns the current cycle.
 func (s *System) Cycle() uint64 { return s.cycle }
 
-// QuantumIndex returns the number of completed quanta.
-func (s *System) QuantumIndex() int { return s.quantum }
-
 // EpochOwner returns the app currently holding highest priority at the
 // memory controller, or -1 when epoch priority is off.
 func (s *System) EpochOwner() int { return s.epochOwner }
@@ -377,10 +374,6 @@ func (s *System) SetTracer(t *evtrace.Tracer) {
 		s.evictors = make(map[uint64]int)
 	}
 }
-
-// EventQueueDepth returns the number of pending L2-hit completion
-// events (the event heap's current size).
-func (s *System) EventQueueDepth() int { return s.events.len() }
 
 // AddQuantumListener registers fn to run at every quantum boundary.
 func (s *System) AddQuantumListener(fn QuantumListener) {

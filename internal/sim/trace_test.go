@@ -4,14 +4,35 @@ import (
 	"testing"
 
 	"asmsim/internal/cpu"
-	"asmsim/internal/trace"
 	"asmsim/internal/workload"
 )
 
-// TestTraceDrivenRunMatchesGenerator records each app's stream to a trace
-// and replays it through NewWithSources: the trace-driven system must
+// replay is a cpu.InstrSource over a recorded instruction slice,
+// wrapping at the end.
+type replay struct {
+	instrs []workload.Instr
+	pos    int
+}
+
+func (r *replay) Next(out *workload.Instr) {
+	*out = r.instrs[r.pos]
+	r.pos = (r.pos + 1) % len(r.instrs)
+}
+
+// record captures n instructions from a generator.
+func record(gen *workload.Generator, n int) []workload.Instr {
+	out := make([]workload.Instr, n)
+	for i := range out {
+		gen.Next(&out[i])
+	}
+	return out
+}
+
+// TestTraceDrivenRunMatchesGenerator records each app's stream and
+// replays it through NewWithSources: the replay-driven system must
 // reproduce the generator-driven execution exactly (same retired counts),
-// proving the trace layer is a faithful substitute for live generation.
+// proving an external instruction source is a faithful substitute for
+// live generation.
 func TestTraceDrivenRunMatchesGenerator(t *testing.T) {
 	cfg := testConfig()
 	cfg.Cores = 2
@@ -28,11 +49,11 @@ func TestTraceDrivenRunMatchesGenerator(t *testing.T) {
 	for i, sp := range specs {
 		need := int(ref.Retired(i)) + 3*int(cfg.WindowSize)
 		gen := workload.NewGenerator(sp, i, cfg.Seed)
-		instrs := trace.Record(gen, need)
+		instrs := record(gen, need)
 		apps[i] = AppSource{
 			Name: sp.Name,
 			New: func(int) cpu.InstrSource {
-				return trace.NewReplayer(instrs)
+				return &replay{instrs: instrs}
 			},
 		}
 	}
@@ -59,10 +80,10 @@ func TestTraceDrivenGroundTruth(t *testing.T) {
 	var apps []AppSource
 	for i, sp := range specs {
 		gen := workload.NewGenerator(sp, i, cfg.Seed)
-		instrs := trace.Record(gen, 3_000_000)
+		instrs := record(gen, 3_000_000)
 		apps = append(apps, AppSource{
 			Name: sp.Name,
-			New:  func(int) cpu.InstrSource { return trace.NewReplayer(instrs) },
+			New:  func(int) cpu.InstrSource { return &replay{instrs: instrs} },
 		})
 	}
 	sys, err := NewWithSources(cfg, apps)

@@ -157,6 +157,13 @@ func defaultWindows() []WindowPair {
 	}
 }
 
+// maxWindowTicks caps a burn-rate window. The engine keeps one outcome
+// per tick of an SLO's longest window, so an unbounded "long" would let
+// a spec file allocate arbitrary memory (or panic outright). 65536
+// quantum ticks outlast any run: at the paper's 5M-cycle quantum that
+// is 3.3e11 cycles.
+const maxWindowTicks = 1 << 16
+
 // normalize validates the spec and fills signal-specific defaults in
 // place.
 func (s *Spec) normalize() error {
@@ -235,6 +242,9 @@ func (s *Spec) normalize() error {
 		for j, w := range o.Windows {
 			if w.Short <= 0 || w.Long <= 0 || w.Short > w.Long {
 				return fmt.Errorf("%s: windows[%d] needs 0 < short <= long (got %d/%d)", o.Name, j, w.Short, w.Long)
+			}
+			if w.Long > maxWindowTicks {
+				return fmt.Errorf("%s: windows[%d] long must be <= %d (got %d)", o.Name, j, maxWindowTicks, w.Long)
 			}
 			if w.Burn <= 0 {
 				return fmt.Errorf("%s: windows[%d] burn must be > 0 (got %v)", o.Name, j, w.Burn)

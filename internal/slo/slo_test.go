@@ -54,6 +54,7 @@ func TestParseRejects(t *testing.T) {
 		{`{"slos":[{"name":"a","signal":"qos","bound":2,"objective":1.5}]}`, "objective"},
 		{`{"slos":[{"name":"a","signal":"qos","bound":2,"windows":[{"long":3,"short":9,"burn":2}]}]}`, "short <= long"},
 		{`{"slos":[{"name":"a","signal":"qos","bound":2,"windows":[{"long":9,"short":3}]}]}`, "burn must be"},
+		{`{"slos":[{"name":"a","signal":"qos","bound":2,"windows":[{"long":65537,"short":3,"burn":2}]}]}`, "long must be <="},
 		{`{"slos":[{"name":"a","signal":"accuracy","envelope":1.5}]}`, "envelope"},
 	}
 	for _, c := range cases {

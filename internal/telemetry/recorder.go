@@ -55,7 +55,7 @@ type AppCounters struct {
 // slowdown when ground truth ran, and every estimator's estimate.
 type QuantumRecord struct {
 	// TraceID correlates this record with the job (or run) that
-	// produced it; see Options.TraceID. Empty outside a traced context.
+	// produced it; see obs.Sinks.TraceID. Empty outside a traced context.
 	TraceID string `json:"trace_id,omitempty"`
 	// Mix labels the workload ("+"-joined benchmark names); Scheme
 	// labels the resource-management configuration for policy runs.
@@ -301,20 +301,4 @@ func (s *Sink) Close() error {
 	}
 	s.recs = nil
 	return first
-}
-
-// Options bundles the optional observation hooks a run or sweep honors.
-// Every field may be nil; the zero value disables all observation.
-type Options struct {
-	// Recorder receives one QuantumRecord per (app, quantum).
-	Recorder Recorder
-	// Metrics receives counters, gauges and timers.
-	Metrics *Registry
-	// Progress receives live sweep item start/finish notifications.
-	Progress *Progress
-	// TraceID, when set, is stamped on every QuantumRecord the run
-	// emits, correlating quantum records, structured logs, journal
-	// entries and SSE frames produced on behalf of one job. It carries
-	// no simulation semantics and never affects results.
-	TraceID string
 }
